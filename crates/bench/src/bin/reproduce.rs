@@ -61,8 +61,8 @@
 //! interpreter/bytecode/native tiers, batched vs call-per-record);
 //! `--json` additionally writes `BENCH_stream.json`. It exits nonzero if
 //! any configuration's output differs from a one-shot loop of the same
-//! tier, the memory counters end up imbalanced, no frame resets were
-//! recorded (the fast path didn't run), or the best streamed speedup
+//! tier, the memory counters end up imbalanced, native calls stopped
+//! reusing their machine's pooled frame, or the best streamed speedup
 //! falls below the floor (3x at paper scale, 1.5x sanity at `--quick`).
 
 use wolfram_bench::{ablations, harness, intro, opstats, table1};
@@ -428,7 +428,7 @@ fn run_serve(args: &[String]) -> ! {
         eprintln!("wolfram-serve: listening on {addr} (length-prefixed frames)");
         let pool = std::sync::Arc::new(pool);
         // `!stream` sessions compile at the pool's tier policy and run on
-        // the connection thread through the streaming fast path.
+        // the connection thread through the stream executor.
         let net_config = wolfram_serve::NetConfig {
             stream: Some(std::sync::Arc::new(
                 wolfram_stream::ServeStreamHandler::new(CompilerOptions::default(), tier_policy),
@@ -747,7 +747,7 @@ fn run_stream_cmd(args: &[String]) -> ! {
     };
     let Some(src) = flag("--function") else {
         eprintln!("usage: reproduce stream --function 'Function[...]' [--input FILE]");
-        eprintln!("       [--tier native|naive|bytecode|interp] [--batch N] [--workers N]");
+        eprintln!("       [--tier native|bytecode|interp] [--batch N] [--workers N]");
         std::process::exit(2);
     };
     let batch: usize = flag("--batch").map_or(256, |v| v.parse().expect("--batch N"));
@@ -755,20 +755,13 @@ fn run_stream_cmd(args: &[String]) -> ! {
     let tier = flag("--tier").unwrap_or_else(|| "native".into());
 
     let func = match tier.as_str() {
-        "native" | "naive" => {
-            let artifact = match Compiler::default().function_compile_src(&src) {
-                Ok(cf) => cf.artifact(),
-                Err(e) => {
-                    eprintln!("stream: compile failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-            if tier == "native" {
-                StreamFunction::Native(artifact)
-            } else {
-                StreamFunction::NativeNaive(artifact)
+        "native" => match Compiler::default().function_compile_src(&src) {
+            Ok(cf) => StreamFunction::Native(cf.artifact()),
+            Err(e) => {
+                eprintln!("stream: compile failed: {e}");
+                std::process::exit(1);
             }
-        }
+        },
         "bytecode" => {
             let compiled = wolfram_expr::parse(&src)
                 .map_err(|e| e.to_string())
@@ -795,7 +788,7 @@ fn run_stream_cmd(args: &[String]) -> ! {
             }
         },
         other => {
-            eprintln!("unknown --tier `{other}` (expected native, naive, bytecode, or interp)");
+            eprintln!("unknown --tier `{other}` (expected native, bytecode, or interp)");
             std::process::exit(2);
         }
     };
@@ -850,8 +843,8 @@ fn run_stream_cmd(args: &[String]) -> ! {
 }
 
 /// `bench-stream` subcommand: the streaming-engine sweep, also a CI
-/// smoke gate (nonzero exit on divergence, counter leaks, a cold frame
-/// pool, or a sub-floor streamed speedup).
+/// smoke gate (nonzero exit on divergence, counter leaks, native calls
+/// that stopped reusing pooled frames, or a sub-floor streamed speedup).
 fn run_bench_stream(args: &[String]) -> ! {
     use wolfram_bench::stream_bench;
 
@@ -906,7 +899,7 @@ fn run_bench_stream(args: &[String]) -> ! {
     }
     let clean = report.equivalence_failures == 0
         && report.memory_balanced
-        && report.frame_resets > 0
+        && report.frames_reused()
         && throughput_ok;
     println!("bench-stream: {}", if clean { "PASS" } else { "FAIL" });
     std::process::exit(i32::from(!clean));

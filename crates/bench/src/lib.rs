@@ -35,3 +35,12 @@ pub mod table1;
 pub mod workloads;
 
 pub use harness::{bench_seconds, Figure2Row, Scale};
+
+/// Serializes the tests that reset or judge the process-wide memory
+/// counters, which every test in this binary shares.
+#[cfg(test)]
+pub(crate) fn global_stats_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

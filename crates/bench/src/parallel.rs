@@ -259,6 +259,7 @@ mod tests {
 
     #[test]
     fn ablation_runs_and_matches_at_tiny_scale() {
+        let _globals = crate::global_stats_lock();
         let scale = harness::Scale {
             string_len: 2000,
             mandelbrot_resolution: 0.5,

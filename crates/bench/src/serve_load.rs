@@ -501,6 +501,7 @@ mod tests {
 
     #[test]
     fn catalog_ground_truth_matches_served_results() {
+        let _globals = crate::global_stats_lock();
         let catalog = Catalog::new(3, 16);
         let zipf = Zipf::new(catalog.len(), 1.1);
         let report = run_load(&catalog, &zipf, 2, true, 2, 30, 0xBEEF);
@@ -512,6 +513,7 @@ mod tests {
 
     #[test]
     fn deadline_experiment_reports_clean() {
+        let _globals = crate::global_stats_lock();
         let report = run_deadline_experiment(2);
         assert_eq!(report.aborted, report.issued, "{report:?}");
         assert!(report.pool_alive);

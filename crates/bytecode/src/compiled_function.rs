@@ -193,7 +193,7 @@ fn check_tag(a: &Value, ty: VmType) -> Result<(), RuntimeError> {
 }
 
 /// A compile-once, call-millions executor over one [`CompiledFunction`]:
-/// the bytecode half of the streaming fast path.
+/// the bytecode tier's streaming entry.
 ///
 /// [`CompiledFunction::run_abortable`] walks the full `ArgSpec` table and
 /// allocates an `nregs`-slot boxed register file on every call. A stream

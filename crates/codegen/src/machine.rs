@@ -1151,24 +1151,6 @@ impl Frame {
 /// allocating; recursion deeper than the cap falls back to fresh frames.
 pub const FRAME_POOL_CAP: usize = 64;
 
-/// A dedicated entry frame for a run of repeated calls to one function
-/// (the `wolfram-stream` executor). The first call through
-/// [`Machine::call_streaming`] allocates the frame (a recorded miss);
-/// every later call resets and reuses it (a recorded reset), bypassing
-/// the machine's shared pool entirely. Inner indirect calls made *during*
-/// execution still go through the pool as before.
-#[derive(Default)]
-pub struct CallSession {
-    frame: Option<Frame>,
-}
-
-impl CallSession {
-    /// A session with no frame yet; the first call allocates it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Execution statistics: dynamic op/dyad frequencies (populated only while
 /// [`Machine::profile_ops`] is enabled) and the always-on frame-pool
 /// hit/miss counters.
@@ -1238,6 +1220,9 @@ pub struct Machine {
     frame_pool: Vec<Frame>,
     pool_hits: u64,
     pool_misses: u64,
+    /// The drained argument vector of the last call, kept for its
+    /// capacity (see [`Machine::take_args`]).
+    args: Vec<ArgVal>,
     profile: Option<Box<ProfileState>>,
 }
 
@@ -1250,8 +1235,17 @@ impl Machine {
             frame_pool: Vec::new(),
             pool_hits: 0,
             pool_misses: 0,
+            args: Vec::new(),
             profile: None,
         }
+    }
+
+    /// An empty argument vector that keeps the capacity of the last
+    /// call's arguments. A caller that marshals into it and passes it to
+    /// [`Machine::call_with_engine`] gets it back here next time, so
+    /// repeated calls do not allocate for their arguments.
+    pub fn take_args(&mut self) -> Vec<ArgVal> {
+        std::mem::take(&mut self.args)
     }
 
     /// Turns the op-frequency/dyad profiler on or off. Profiling adds a
@@ -1310,6 +1304,8 @@ impl Machine {
     }
 
     /// Calls with a hosting engine for kernel escapes and symbolic ops.
+    /// The entry frame comes from the machine's frame pool; the emptied
+    /// `args` vector is kept for [`Machine::take_args`].
     ///
     /// # Errors
     ///
@@ -1318,7 +1314,7 @@ impl Machine {
         &mut self,
         prog: &NativeProgram,
         fix: usize,
-        args: Vec<ArgVal>,
+        mut args: Vec<ArgVal>,
         mut engine: Option<&mut Interpreter>,
     ) -> Result<ArgVal, RuntimeError> {
         let func = &prog.funcs[fix];
@@ -1343,9 +1339,13 @@ impl Machine {
                 Frame::new(func)
             }
         };
-        for (slot, arg) in func.params.iter().zip(args) {
-            frame.store(*slot, arg)?;
-        }
+        let stored = func
+            .params
+            .iter()
+            .zip(args.drain(..))
+            .try_for_each(|(slot, arg)| frame.store(*slot, arg));
+        self.args = args;
+        stored?;
         let out = self.run(prog, func, &mut frame, &mut engine);
         if out.is_err() {
             // Unwind accounting (F7): an abort or runtime error skips the
@@ -1364,74 +1364,6 @@ impl Machine {
         if self.frame_pool.len() < FRAME_POOL_CAP {
             self.frame_pool.push(frame);
         }
-        out
-    }
-
-    /// Calls function `fix` through a [`CallSession`], resetting and
-    /// reusing the session's dedicated frame instead of cycling it through
-    /// the machine pool. This is the `wolfram-stream` entry path: a stream
-    /// applies one compiled function to millions of records, so the frame
-    /// shape never changes between calls and the pop/push plus full
-    /// re-shape of [`Machine::call_with_engine`] is pure overhead.
-    ///
-    /// The refcount-balance invariant is identical to the pooled path: an
-    /// error unwind drains the frame's `acquired` flags through
-    /// `record_release`, and held values are dropped before the frame goes
-    /// back into the session, so an aborted record cannot poison the next.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::call`]. `args` is drained on every path, including
-    /// errors, so the caller can keep reusing its argument buffer.
-    pub fn call_streaming(
-        &mut self,
-        prog: &NativeProgram,
-        fix: usize,
-        session: &mut CallSession,
-        args: &mut Vec<ArgVal>,
-        mut engine: Option<&mut Interpreter>,
-    ) -> Result<ArgVal, RuntimeError> {
-        let func = &prog.funcs[fix];
-        if args.len() != func.params.len() {
-            args.clear();
-            return Err(RuntimeError::Type(format!(
-                "{} expected {} arguments, got {}",
-                func.name,
-                func.params.len(),
-                args.len()
-            )));
-        }
-        let mut frame = match session.frame.take() {
-            Some(mut fr) => {
-                wolfram_runtime::memory::record_frame_reset();
-                fr.reset(func);
-                fr
-            }
-            None => {
-                wolfram_runtime::memory::record_frame_miss();
-                Frame::new(func)
-            }
-        };
-        let mut stored = Ok(());
-        for (slot, arg) in func.params.iter().zip(args.drain(..)) {
-            if stored.is_ok() {
-                stored = frame.store(*slot, arg);
-            }
-        }
-        let out = match stored {
-            Ok(()) => self.run(prog, func, &mut frame, &mut engine),
-            Err(e) => Err(e),
-        };
-        if out.is_err() {
-            // Same unwind accounting as `call_with_engine` (F7).
-            for ac in &mut frame.acquired {
-                if std::mem::take(ac) {
-                    wolfram_runtime::memory::record_release();
-                }
-            }
-        }
-        frame.vals.clear();
-        session.frame = Some(frame);
         out
     }
 

@@ -11,7 +11,7 @@ use wolfram_expr::Expr;
 use wolfram_interp::Interpreter;
 use wolfram_ir::ProgramModule;
 use wolfram_runtime::value::expr_to_tensor;
-use wolfram_runtime::{AbortSignal, RuntimeError, Value};
+use wolfram_runtime::{AbortSignal, RuntimeError, Tensor, Value};
 use wolfram_types::Type;
 
 /// A compiled Wolfram function: "To the Wolfram interpreter, all functions
@@ -38,8 +38,8 @@ pub struct CompiledCodeFunction {
     pub standalone: bool,
     /// The abort signal used for standalone calls.
     pub abort: AbortSignal,
-    /// A cached execution machine (frame pool reuse across calls); falls
-    /// back to a fresh machine on re-entrant calls.
+    /// A cached execution machine (frame pool and argument buffer reuse
+    /// across calls); falls back to a fresh machine on re-entrant calls.
     machine: Rc<RefCell<Machine>>,
 }
 
@@ -102,23 +102,46 @@ impl CompiledArtifact {
     /// Rebinds the artifact to the calling thread as a standalone
     /// function (fresh abort signal, fresh machine, no engine).
     pub fn instantiate(&self) -> CompiledCodeFunction {
-        CompiledCodeFunction {
-            original: self.original.clone(),
-            module: Arc::clone(&self.module),
-            program: Arc::clone(&self.program),
-            param_types: self.param_types.clone(),
-            return_type: self.return_type.clone(),
-            engine: None,
-            standalone: false,
-            abort: AbortSignal::new(),
-            machine: Rc::new(RefCell::new(Machine::standalone())),
-        }
+        CompiledCodeFunction::bind(
+            self.original.clone(),
+            Arc::clone(&self.module),
+            Arc::clone(&self.program),
+            self.param_types.clone(),
+            self.return_type.clone(),
+        )
     }
 
     /// Rebinds the artifact to the calling thread, hosted in `engine`
     /// (kernel escapes, soft-failure fallback, shared abort signal).
     pub fn instantiate_hosted(&self, engine: Rc<RefCell<Interpreter>>) -> CompiledCodeFunction {
         self.instantiate().hosted(engine)
+    }
+}
+
+/// A stream's handle on a [`CompiledArtifact`]: instantiated once,
+/// then applied record by record. It adds nothing to
+/// [`CompiledCodeFunction::call`], which already reuses one pooled frame
+/// and one argument buffer across calls.
+pub struct StreamCaller {
+    cf: CompiledCodeFunction,
+}
+
+impl StreamCaller {
+    /// Instantiates `artifact` on the calling thread.
+    pub fn new(artifact: &CompiledArtifact) -> Self {
+        StreamCaller {
+            cf: artifact.instantiate(),
+        }
+    }
+
+    /// Applies the function to one record, exactly as
+    /// [`CompiledCodeFunction::call`] does.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CompiledCodeFunction::call`].
+    pub fn call(&mut self, args: &[Value]) -> Result<Value, RuntimeError> {
+        self.cf.call(args)
     }
 }
 
@@ -164,7 +187,27 @@ impl CompiledCodeFunction {
             }
         }
         let return_type = main.return_type.clone().unwrap_or_else(Type::void);
-        Ok(CompiledCodeFunction {
+        Ok(Self::bind(
+            original,
+            module,
+            program,
+            param_types,
+            return_type,
+        ))
+    }
+
+    /// Binds compiled parts to a fresh standalone execution state.
+    fn bind(
+        original: Expr,
+        module: Arc<ProgramModule>,
+        program: Arc<NativeProgram>,
+        param_types: Vec<Type>,
+        return_type: Type,
+    ) -> Self {
+        let abort = AbortSignal::new();
+        let mut machine = Machine::standalone();
+        machine.abort = abort.clone();
+        CompiledCodeFunction {
             original,
             module,
             program,
@@ -172,9 +215,9 @@ impl CompiledCodeFunction {
             return_type,
             engine: None,
             standalone: false,
-            abort: AbortSignal::new(),
-            machine: Rc::new(RefCell::new(Machine::standalone())),
-        })
+            abort,
+            machine: Rc::new(RefCell::new(machine)),
+        }
     }
 
     /// Attaches a hosting engine: kernel escapes and symbolic operations
@@ -232,71 +275,33 @@ impl CompiledCodeFunction {
                 "Expression" => Ok(ArgVal::V(Value::Expr(e.clone()))),
                 _ => Err(type_err(&e.to_input_form())),
             },
-            Type::Constructor { name, args } if &**name == "Tensor" => {
+            Type::Constructor { name, .. } if &**name == "Tensor" => {
                 let t = expr_to_tensor(e).ok_or_else(|| type_err("non-rectangular list"))?;
-                let want_rank = match args.get(1) {
-                    Some(Type::Literal(r)) => *r as usize,
-                    _ => t.rank(),
-                };
-                if t.rank() != want_rank {
-                    return Err(type_err(&format!("rank-{} tensor", t.rank())));
-                }
-                // Element promotion: integer data passed to a real tensor.
-                let elem = args.first();
-                let t = match elem {
-                    Some(Type::Atomic(n)) if &**n == "Real64" => t.to_f64_tensor(),
-                    _ => t,
-                };
-                let ok = match elem {
-                    Some(Type::Atomic(n)) => t.data().element_type() == &**n,
-                    _ => true,
-                };
-                if !ok {
-                    return Err(type_err(&format!("{} tensor", t.data().element_type())));
-                }
-                Ok(ArgVal::V(Value::Tensor(t)))
+                check_tensor(t, ty)
             }
             _ => Err(type_err(&e.to_input_form())),
         }
     }
 
-    fn unbox_value(&self, v: &Value, ty: &Type) -> Result<ArgVal, RuntimeError> {
-        // Values mostly map directly; route exotic cases through exprs.
+    /// Decodes one runtime-value argument into the register bank code
+    /// generation chose for its parameter. Expression values take the full
+    /// [`CompiledCodeFunction::unbox`] route; tensor values are checked
+    /// against the parameter's tensor type.
+    fn decode(&self, v: &Value, bank: Bank, ty: &Type) -> Result<ArgVal, RuntimeError> {
         match (v, ty) {
-            (Value::Function(_), Type::Arrow { .. }) => Ok(ArgVal::V(v.clone())),
-            (Value::Tensor(t), Type::Constructor { name, args }) if &**name == "Tensor" => {
-                let t = match args.first() {
-                    Some(Type::Atomic(n)) if &**n == "Real64" => t.to_f64_tensor(),
-                    _ => t.clone(),
-                };
-                if let Some(Type::Atomic(n)) = args.first() {
-                    if t.data().element_type() != &**n {
-                        return Err(RuntimeError::Type(format!(
-                            "{} tensor does not match {ty}",
-                            t.data().element_type()
-                        )));
-                    }
-                }
-                Ok(ArgVal::V(Value::Tensor(t)))
-            }
             (Value::Expr(e), _) => self.unbox(e, ty),
-            _ => {
-                let bank = match ty {
-                    Type::Atomic(n) => match &**n {
-                        "Integer64" | "Integer32" | "Integer16" | "Integer8" | "Boolean" => Bank::I,
-                        "Real64" | "Real32" => Bank::F,
-                        "ComplexReal64" => Bank::C,
-                        _ => Bank::V,
-                    },
-                    _ => Bank::V,
-                };
-                ArgVal::from_value(v, bank)
+            (Value::Tensor(t), Type::Constructor { name, .. }) if &**name == "Tensor" => {
+                check_tensor(t.clone(), ty)
             }
+            _ => ArgVal::from_value(v, bank),
         }
     }
 
-    /// Calls with runtime values (fast path used by benchmarks and other
-    /// compiled code).
+    /// Calls with runtime values: the one native entry for benchmarks,
+    /// streams and other compiled code. Arguments are decoded against the
+    /// parameter slots and types into the machine's reusable argument buffer,
+    /// and the entry frame comes from the machine's frame pool, so a
+    /// steady run of calls allocates neither.
     ///
     /// # Errors
     ///
@@ -310,11 +315,15 @@ impl CompiledCodeFunction {
                 args.len()
             )));
         }
-        let mut marshaled = Vec::with_capacity(args.len());
-        for (v, ty) in args.iter().zip(&self.param_types) {
-            marshaled.push(self.unbox_value(v, ty)?);
-        }
-        match self.run(marshaled) {
+        let out = self.with_machine(&self.abort, |machine| {
+            let mut buf = machine.take_args();
+            let slots = &self.program.funcs[0].params;
+            for ((v, slot), ty) in args.iter().zip(slots).zip(&self.param_types) {
+                buf.push(self.decode(v, slot.bank, ty)?);
+            }
+            self.enter(machine, buf)
+        });
+        match out {
             Err(e) if e.is_numeric() && self.engine.is_some() => {
                 self.soft_fallback_values(args, &e)
             }
@@ -353,21 +362,12 @@ impl CompiledCodeFunction {
     }
 
     fn run(&self, args: Vec<ArgVal>) -> Result<ArgVal, RuntimeError> {
-        // Reuse the cached machine (and its frame pool); re-entrant calls
-        // get a fresh one.
-        let mut fresh;
-        let mut cached;
-        let machine: &mut Machine = match self.machine.try_borrow_mut() {
-            Ok(guard) => {
-                cached = guard;
-                &mut cached
-            }
-            Err(_) => {
-                fresh = Machine::standalone();
-                &mut fresh
-            }
-        };
-        machine.abort = self.abort.clone();
+        self.with_machine(&self.abort, |machine| self.enter(machine, args))
+    }
+
+    /// Enters the program on `machine`, lending it the hosting engine
+    /// unless this function runs standalone.
+    fn enter(&self, machine: &mut Machine, args: Vec<ArgVal>) -> Result<ArgVal, RuntimeError> {
         match (&self.engine, self.standalone) {
             (Some(engine), false) => {
                 let mut guard = engine.borrow_mut();
@@ -380,6 +380,17 @@ impl CompiledCodeFunction {
     /// Runs with an already-borrowed engine (re-entrant path used when the
     /// compiled function is *installed* and called from inside evaluation).
     fn run_in(&self, engine: &mut Interpreter, args: Vec<ArgVal>) -> Result<ArgVal, RuntimeError> {
+        let abort = engine.abort_signal().clone();
+        self.with_machine(&abort, |machine| {
+            machine.call_with_engine(&self.program, 0, args, Some(engine))
+        })
+    }
+
+    /// Runs `f` on the cached machine (its frame pool and argument
+    /// buffer), or on a fresh one when a re-entrant call already holds
+    /// it, with `abort` bound as the machine's signal. The binding is
+    /// only replaced when it changed, not cloned per call.
+    fn with_machine<R>(&self, abort: &AbortSignal, f: impl FnOnce(&mut Machine) -> R) -> R {
         let mut fresh;
         let mut cached;
         let machine: &mut Machine = match self.machine.try_borrow_mut() {
@@ -392,8 +403,10 @@ impl CompiledCodeFunction {
                 &mut fresh
             }
         };
-        machine.abort = engine.abort_signal().clone();
-        machine.call_with_engine(&self.program, 0, args, Some(engine))
+        if !machine.abort.ptr_eq(abort) {
+            machine.abort = abort.clone();
+        }
+        f(machine)
     }
 
     fn warn(&self, tag: &str) {
@@ -501,6 +514,38 @@ impl CompiledCodeFunction {
     }
 }
 
+/// Checks a tensor argument against a `Tensor[elem, rank]` parameter type:
+/// the rank must match, integer data is promoted to a real tensor, and the
+/// element type must then match.
+fn check_tensor(t: Tensor, ty: &Type) -> Result<ArgVal, RuntimeError> {
+    let args = match ty {
+        Type::Constructor { args, .. } => &args[..],
+        _ => &[],
+    };
+    let type_err = |what: String| {
+        RuntimeError::Type(format!(
+            "argument {what} does not match parameter type {ty}"
+        ))
+    };
+    if let Some(Type::Literal(r)) = args.get(1) {
+        if t.rank() != *r as usize {
+            return Err(type_err(format!("rank-{} tensor", t.rank())));
+        }
+    }
+    let Some(Type::Atomic(elem)) = args.first() else {
+        return Ok(ArgVal::V(Value::Tensor(t)));
+    };
+    let t = if &**elem == "Real64" {
+        t.to_f64_tensor()
+    } else {
+        t
+    };
+    if t.data().element_type() != &**elem {
+        return Err(type_err(format!("{} tensor", t.data().element_type())));
+    }
+    Ok(ArgVal::V(Value::Tensor(t)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,6 +648,80 @@ mod tests {
         assert_eq!(out.as_f64(), Some(4.0));
         // Rank mismatch is a type error.
         assert!(cf.call_exprs(&[parse("{{1.0}}").unwrap()]).is_err());
+    }
+
+    #[test]
+    fn tensor_and_expr_values_decode() {
+        let cf = compile("Function[{Typed[v, \"Tensor\"[\"Real64\", 1]]}, v[[1]] + v[[-1]]]");
+        // Direct tensor value: integer data promotes to the real element
+        // type.
+        let t = Value::Tensor(wolfram_runtime::Tensor::from_i64(vec![1, 2, 3]));
+        assert_eq!(cf.call(&[t]).unwrap(), Value::F64(4.0));
+        // Symbolic route: a list expression goes through the full unboxer.
+        let e = Value::Expr(parse("{1.5, 2.0, 3.5}").unwrap());
+        assert_eq!(cf.call(&[e]).unwrap(), Value::F64(5.0));
+        // Mismatched expression stays an error.
+        assert!(cf.call(&[Value::Expr(Expr::string("nope"))]).is_err());
+    }
+
+    #[test]
+    fn direct_tensor_rank_is_checked() {
+        let cf = compile("Function[{Typed[v, \"Tensor\"[\"Real64\", 1]]}, v[[2]]]");
+        let record = parse("{{1.0, 2.0}, {3.0, 4.0}}").unwrap();
+        let Value::Tensor(t) = Value::from_expr(&record) else {
+            panic!("a rectangular list packs into a tensor");
+        };
+        assert_eq!(t.rank(), 2);
+        // The value route rejects the rank-2 tensor with the expression
+        // route's message, instead of reading the flat data.
+        let why = "argument rank-2 tensor does not match parameter type Tensor[Real64, 1]";
+        assert_eq!(
+            cf.call(&[Value::Tensor(t)]),
+            Err(RuntimeError::Type(why.into()))
+        );
+        let by_expr = cf.call_exprs(&[record]).unwrap_err();
+        assert!(by_expr.to_string().ends_with(why), "{by_expr}");
+        let v = Value::Tensor(wolfram_runtime::Tensor::from_f64(vec![1.0, 2.0]));
+        assert_eq!(cf.call(&[v]).unwrap(), Value::F64(2.0));
+    }
+
+    #[test]
+    fn direct_tensor_element_type_is_checked_like_an_expression() {
+        let cf = compile("Function[{Typed[v, \"Tensor\"[\"Integer64\", 1]]}, v[[1]]]");
+        let record = parse("{1.5, 2.5}").unwrap();
+        let why = "argument Real64 tensor does not match parameter type Tensor[Integer64, 1]";
+        let v = Value::from_expr(&record);
+        assert!(matches!(v, Value::Tensor(_)), "{v:?}");
+        assert_eq!(cf.call(&[v]), Err(RuntimeError::Type(why.into())));
+        let by_expr = cf.call_exprs(&[record]).unwrap_err();
+        assert!(by_expr.to_string().ends_with(why), "{by_expr}");
+    }
+
+    #[test]
+    fn repeated_calls_reuse_one_pooled_frame() {
+        let cf = compile("Function[{Typed[n, \"MachineInteger\"]}, n*n]");
+        wolfram_runtime::memory::reset_stats();
+        for n in 0..10 {
+            assert_eq!(cf.call(&[Value::I64(n)]).unwrap(), Value::I64(n * n));
+        }
+        let stats = wolfram_runtime::memory::stats();
+        assert_eq!(stats.frame_misses, 1, "{stats:?}");
+        assert_eq!(stats.frame_hits, 9, "{stats:?}");
+    }
+
+    #[test]
+    fn errors_leave_the_pooled_frame_usable() {
+        let cf = compile("Function[{Typed[n, \"MachineInteger\"]}, n*n]");
+        // Thread-local counters are per test thread, so the balance of
+        // exactly this call sequence is observable here.
+        wolfram_runtime::memory::reset_stats();
+        assert!(cf.call(&[Value::I64(i64::MAX)]).is_err());
+        assert!(cf.call(&[Value::Str(Arc::new("x".into()))]).is_err());
+        assert_eq!(cf.call(&[Value::I64(9)]).unwrap(), Value::I64(81));
+        let st = wolfram_runtime::memory::stats();
+        assert!(st.balanced(), "aborted calls must release: {st:?}");
+        assert_eq!(st.frame_misses, 1, "{st:?}");
+        assert_eq!(st.frame_hits, 1, "the frame survived the errors: {st:?}");
     }
 
     #[test]

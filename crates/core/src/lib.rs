@@ -33,11 +33,9 @@ pub mod macros;
 pub mod pipeline;
 pub mod resolve;
 pub mod stdlib;
-pub mod stream_entry;
 
-pub use engine::{CompiledArtifact, CompiledCodeFunction};
+pub use engine::{CompiledArtifact, CompiledCodeFunction, StreamCaller};
 pub use macros::{MacroEnvironment, MacroRule};
 pub use pipeline::{CompileError, Compiler, CompilerOptions, TargetSystem};
 pub use resolve::InlinePolicy;
 pub use stdlib::builtin_type_environment;
-pub use stream_entry::StreamCaller;

@@ -48,6 +48,12 @@ impl AbortSignal {
         self.flag.store(false, Ordering::Release);
     }
 
+    /// Whether `self` and `other` share one flag (one is a clone of the
+    /// other), so binding either to a machine is the same binding.
+    pub fn ptr_eq(&self, other: &AbortSignal) -> bool {
+        Arc::ptr_eq(&self.flag, &other.flag)
+    }
+
     /// Whether an abort has been requested.
     pub fn is_triggered(&self) -> bool {
         self.flag.load(Ordering::Acquire)

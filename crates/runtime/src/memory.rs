@@ -16,7 +16,6 @@ thread_local! {
     static TENSOR_COPIES: Cell<u64> = const { Cell::new(0) };
     static FRAME_HITS: Cell<u64> = const { Cell::new(0) };
     static FRAME_MISSES: Cell<u64> = const { Cell::new(0) };
-    static FRAME_RESETS: Cell<u64> = const { Cell::new(0) };
 }
 
 // Cross-thread aggregation (the serve worker pool). The hot recording path
@@ -30,7 +29,6 @@ static GLOBAL_RELEASES: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_TENSOR_COPIES: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_FRAME_HITS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_FRAME_MISSES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_FRAME_RESETS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the instrumentation counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,12 +41,11 @@ pub struct MemoryStats {
     pub tensor_copies: u64,
     /// Calls served by a recycled frame from a machine's frame pool.
     pub frame_hits: u64,
-    /// Calls that allocated a fresh frame (pool empty, or the first call
-    /// of a streaming session).
+    /// Calls that allocated a fresh frame (the pool was empty).
     pub frame_misses: u64,
-    /// Streaming calls that reset-and-reused a dedicated session frame
-    /// instead of going through the pool at all (the `wolfram-stream`
-    /// entry path).
+    /// Always 0: every call, streamed or not, takes its frame from the
+    /// pool, so reuse is counted in `frame_hits`. The field remains so
+    /// code that builds a `MemoryStats` field by field keeps compiling.
     pub frame_resets: u64,
 }
 
@@ -58,10 +55,10 @@ impl MemoryStats {
         self.acquires == self.releases
     }
 
-    /// Calls that reused an existing frame allocation (pool hit or
-    /// streaming reset) rather than allocating a fresh one.
+    /// Calls that reused an existing frame allocation rather than
+    /// allocating a fresh one.
     pub fn frames_reused(&self) -> u64 {
-        self.frame_hits + self.frame_resets
+        self.frame_hits
     }
 }
 
@@ -107,12 +104,6 @@ pub fn record_frame_miss() {
     FRAME_MISSES.with(|c| c.set(c.get() + 1));
 }
 
-/// Records a streaming call that reset-and-reused its session frame.
-#[inline]
-pub fn record_frame_reset() {
-    FRAME_RESETS.with(|c| c.set(c.get() + 1));
-}
-
 /// Reads the current counters for this thread.
 pub fn stats() -> MemoryStats {
     MemoryStats {
@@ -121,7 +112,7 @@ pub fn stats() -> MemoryStats {
         tensor_copies: TENSOR_COPIES.with(Cell::get),
         frame_hits: FRAME_HITS.with(Cell::get),
         frame_misses: FRAME_MISSES.with(Cell::get),
-        frame_resets: FRAME_RESETS.with(Cell::get),
+        frame_resets: 0,
     }
 }
 
@@ -132,7 +123,6 @@ pub fn reset_stats() {
     TENSOR_COPIES.with(|c| c.set(0));
     FRAME_HITS.with(|c| c.set(0));
     FRAME_MISSES.with(|c| c.set(0));
-    FRAME_RESETS.with(|c| c.set(0));
 }
 
 /// Moves this thread's counters into the process-wide totals, resetting
@@ -146,7 +136,6 @@ pub fn flush_thread_stats() {
     GLOBAL_TENSOR_COPIES.fetch_add(s.tensor_copies, Ordering::Relaxed);
     GLOBAL_FRAME_HITS.fetch_add(s.frame_hits, Ordering::Relaxed);
     GLOBAL_FRAME_MISSES.fetch_add(s.frame_misses, Ordering::Relaxed);
-    GLOBAL_FRAME_RESETS.fetch_add(s.frame_resets, Ordering::Relaxed);
 }
 
 /// The process-wide totals accumulated by [`flush_thread_stats`].
@@ -157,7 +146,7 @@ pub fn global_stats() -> MemoryStats {
         tensor_copies: GLOBAL_TENSOR_COPIES.load(Ordering::Relaxed),
         frame_hits: GLOBAL_FRAME_HITS.load(Ordering::Relaxed),
         frame_misses: GLOBAL_FRAME_MISSES.load(Ordering::Relaxed),
-        frame_resets: GLOBAL_FRAME_RESETS.load(Ordering::Relaxed),
+        frame_resets: 0,
     }
 }
 
@@ -168,7 +157,6 @@ pub fn reset_global_stats() {
     GLOBAL_TENSOR_COPIES.store(0, Ordering::Relaxed);
     GLOBAL_FRAME_HITS.store(0, Ordering::Relaxed);
     GLOBAL_FRAME_MISSES.store(0, Ordering::Relaxed);
-    GLOBAL_FRAME_RESETS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -211,7 +199,6 @@ mod tests {
                     record_tensor_copy();
                     record_frame_hit();
                     record_frame_miss();
-                    record_frame_reset();
                     flush_thread_stats();
                     // Flushing resets the thread-local view.
                     assert_eq!(stats(), MemoryStats::default());
@@ -227,8 +214,7 @@ mod tests {
         assert_eq!(g.tensor_copies, 4);
         assert_eq!(g.frame_hits, 4);
         assert_eq!(g.frame_misses, 4);
-        assert_eq!(g.frame_resets, 4);
-        assert_eq!(g.frames_reused(), 8);
+        assert_eq!(g.frames_reused(), 4);
         assert!(g.balanced());
         reset_global_stats();
         assert_eq!(global_stats(), MemoryStats::default());

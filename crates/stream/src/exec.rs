@@ -9,8 +9,9 @@
 //!
 //! The producer groups records into sequence-numbered batches and blocks
 //! when the input queue is full (backpressure; see [`crate::queue`]).
-//! Each worker instantiates the stream function **once** — a
-//! `StreamCaller` / `StreamRunner` with its dedicated reusable frame —
+//! Each worker instantiates the stream function **once** — a native
+//! function whose pooled frame and argument buffer are reused across
+//! calls, or a bytecode `StreamRunner` with its reusable register file —
 //! and applies it record by record. The caller thread drains the output
 //! queue and re-establishes input order with a sequence-number reorder
 //! buffer before invoking the sink, so results are emitted exactly as a
@@ -32,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use wolfram_bytecode::{CompiledFunction, StreamRunner};
-use wolfram_compiler_core::{CompiledArtifact, CompiledCodeFunction, StreamCaller};
+use wolfram_compiler_core::{CompiledArtifact, CompiledCodeFunction};
 use wolfram_expr::Expr;
 use wolfram_interp::Interpreter;
 use wolfram_runtime::{RuntimeError, Value};
@@ -42,14 +43,10 @@ use wolfram_runtime::{RuntimeError, Value};
 /// inside each worker by [`StreamFunction::instantiate`].
 #[derive(Clone)]
 pub enum StreamFunction {
-    /// Native register machine through the streaming fast path (frame
-    /// reuse, per-stream argument validation).
+    /// Native register machine through `CompiledCodeFunction::call`.
     Native(CompiledArtifact),
-    /// Native register machine through the ordinary one-shot wrapper:
-    /// the naive call-per-record baseline.
-    NativeNaive(CompiledArtifact),
-    /// Bytecode VM through the streaming fast path (register-file
-    /// reuse, per-stream spec validation).
+    /// Bytecode VM through `StreamRunner` (register-file reuse,
+    /// per-stream spec validation).
     Bytecode(Arc<CompiledFunction>),
     /// Bytecode VM through the ordinary per-call entry.
     BytecodeNaive(Arc<CompiledFunction>),
@@ -62,7 +59,7 @@ impl StreamFunction {
     /// Number of arguments each record must carry.
     pub fn arity(&self) -> usize {
         match self {
-            StreamFunction::Native(a) | StreamFunction::NativeNaive(a) => a.param_types.len(),
+            StreamFunction::Native(a) => a.param_types.len(),
             StreamFunction::Bytecode(cf) | StreamFunction::BytecodeNaive(cf) => cf.arg_specs.len(),
             StreamFunction::Interpreter(f) => {
                 f.args().first().map_or(0, |params| params.args().len())
@@ -73,8 +70,7 @@ impl StreamFunction {
     /// Builds this worker's thread-confined executor.
     pub(crate) fn instantiate(&self) -> WorkerExec {
         match self {
-            StreamFunction::Native(a) => WorkerExec::Native(Box::new(StreamCaller::new(a))),
-            StreamFunction::NativeNaive(a) => WorkerExec::NativeNaive(a.instantiate()),
+            StreamFunction::Native(a) => WorkerExec::Native(Box::new(a.instantiate())),
             StreamFunction::Bytecode(cf) => WorkerExec::Bytecode(StreamRunner::new(Arc::clone(cf))),
             StreamFunction::BytecodeNaive(cf) => WorkerExec::BytecodeNaive(Arc::clone(cf)),
             StreamFunction::Interpreter(f) => {
@@ -88,8 +84,7 @@ impl StreamFunction {
 /// One long-lived value per worker thread, so the variants are boxed
 /// for size parity rather than speed.
 pub(crate) enum WorkerExec {
-    Native(Box<StreamCaller>),
-    NativeNaive(CompiledCodeFunction),
+    Native(Box<CompiledCodeFunction>),
     Bytecode(StreamRunner),
     BytecodeNaive(Arc<CompiledFunction>),
     Interp(Box<Interpreter>, Expr),
@@ -98,8 +93,7 @@ pub(crate) enum WorkerExec {
 impl WorkerExec {
     pub(crate) fn call(&mut self, args: &[Value]) -> Result<Value, RuntimeError> {
         match self {
-            WorkerExec::Native(caller) => caller.call(args),
-            WorkerExec::NativeNaive(cf) => cf.call(args),
+            WorkerExec::Native(cf) => cf.call(args),
             WorkerExec::Bytecode(runner) => runner.call(args),
             WorkerExec::BytecodeNaive(cf) => cf.run(args),
             WorkerExec::Interp(engine, f) => {
@@ -436,8 +430,7 @@ mod tests {
                 .unwrap(),
         );
         let tiers = [
-            StreamFunction::Native(art.clone()),
-            StreamFunction::NativeNaive(art),
+            StreamFunction::Native(art),
             StreamFunction::Bytecode(Arc::clone(&bc)),
             StreamFunction::BytecodeNaive(bc),
             StreamFunction::Interpreter(f),

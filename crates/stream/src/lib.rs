@@ -12,9 +12,9 @@
 //! - [`queue`] — bounded blocking queues: backpressure *blocks* the
 //!   producer rather than shedding records or growing without bound;
 //! - [`exec`] — the batching executor: sequence-numbered batches, one
-//!   register machine per worker with a dedicated reset-and-reuse call
-//!   frame (`StreamCaller` / `StreamRunner`), in-order delivery through
-//!   a reorder buffer;
+//!   instantiated function per worker (native calls reuse a pooled frame
+//!   and argument buffer; the bytecode `StreamRunner` reuses one register
+//!   file), in-order delivery through a reorder buffer;
 //! - [`metrics`] — events/sec, batch fill ratio, queue depth, and
 //!   per-record latency quantiles on the serve layer's histogram atoms.
 //!
@@ -110,5 +110,35 @@ mod tests {
         assert_eq!(lines[1], "ok 16");
         assert!(lines[2].starts_with("err "), "{}", lines[2]);
         assert_eq!(lines[3], "ok 25");
+    }
+
+    #[test]
+    fn rank_mismatched_record_is_an_in_order_error() {
+        let artifact = Compiler::default()
+            .function_compile_src("Function[{Typed[v, \"Tensor\"[\"Real64\", 1]]}, v[[2]]]")
+            .unwrap()
+            .artifact();
+        let func = StreamFunction::Native(artifact);
+        let input = b"{1.0, 2.0}\n{{1.0, 2.0}, {3.0, 4.0}}\n{5.0, 6.0}\n" as &[u8];
+        let mut out = Vec::new();
+        let summary = run_lines(
+            &func,
+            &StreamConfig::default(),
+            input,
+            &mut out,
+            &StreamMetrics::new(),
+            &AtomicBool::new(false),
+        )
+        .unwrap();
+        assert_eq!((summary.ok, summary.errors), (2, 1));
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "ok 2.");
+        assert_eq!(
+            lines[1],
+            "err type error: argument rank-2 tensor does not match parameter type \
+             Tensor[Real64, 1]"
+        );
+        assert_eq!(lines[2], "ok 6.");
     }
 }

@@ -3,9 +3,8 @@
 //! A client sends one `!stream Function[...]` frame; the server compiles
 //! the function **once** and replies `ok stream`. Every following frame
 //! is a record line (see [`crate::record`]) answered by one in-order
-//! reply frame, executed through the same streaming fast path the batch
-//! executor uses — a dedicated reusable frame, arguments validated per
-//! stream. The `!end` sentinel closes the session and returns the
+//! reply frame, executed by the same per-worker executor the batch
+//! executor uses, instantiated once for the session. The `!end` sentinel closes the session and returns the
 //! stream metrics table. Backpressure is the connection's existing
 //! pipelining cap: un-drained replies stop the server reading the
 //! socket, which pushes back through TCP flow control.

@@ -2,6 +2,7 @@
 # CI gate: tier-1 verification (ROADMAP.md) plus lint.
 #
 #   tier-1:  cargo build --release && cargo test -q
+#   tests:   cargo test --workspace -q (every crate's tests)
 #   lint:    cargo fmt --all -- --check
 #            cargo clippy --all-targets -- -D warnings
 #
@@ -18,6 +19,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> tests: cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> analyzer: reproduce analyze on the committed corpus"
 for wl in difftest/corpus/*.wl; do
@@ -85,11 +89,12 @@ echo "==> parallel: bench-parallel smoke (result equivalence, balanced counters)
 # report is uploaded as a workflow artifact by ci.yml.
 ./target/release/reproduce bench-parallel --quick --json BENCH_parallel.json
 
-echo "==> stream: bench-stream smoke (equivalence, balanced counters, throughput floor)"
+echo "==> stream: bench-stream smoke (equivalence, balanced counters, frame reuse, throughput floor)"
 # Quick-scale streaming sweep; exits nonzero if any configuration's output
 # differs from a one-shot loop of the same tier, the memory counters end
-# up imbalanced, no frame resets were recorded (the reuse path didn't
-# run), or the best streamed speedup misses the sanity floor. The JSON
+# up imbalanced, a native machine allocated more than one frame or any
+# other native call missed the frame pool (records stopped reusing
+# frames), or the best streamed speedup misses the sanity floor. The JSON
 # report is uploaded as a workflow artifact by ci.yml.
 ./target/release/reproduce bench-stream --quick --json BENCH_stream.json
 

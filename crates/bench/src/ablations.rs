@@ -1,7 +1,7 @@
 //! The §6 in-text ablations: abort-check overhead, inlining, constant-array
 //! handling, the mutability copy, and superinstruction fusion.
 
-use crate::harness::bench_seconds;
+use crate::harness::{bench_pair_seconds, bench_seconds};
 use crate::{native, programs, workloads};
 use wolfram_compiler_core::{Compiler, CompilerOptions, InlinePolicy};
 use wolfram_runtime::Value;
@@ -89,20 +89,25 @@ pub fn abort_ablation_histogram(n: usize, reps: usize) -> Ablation {
         .function_compile_src(programs::HISTOGRAM_SRC)
         .unwrap();
     let dv = Value::Tensor(data);
+    let (with_secs, without_secs) = bench_pair_seconds(
+        reps,
+        || {
+            with.call(std::hint::black_box(std::slice::from_ref(&dv)))
+                .unwrap();
+        },
+        || {
+            without
+                .call(std::hint::black_box(std::slice::from_ref(&dv)))
+                .unwrap();
+        },
+    );
     Ablation {
         name: "abort checks (Histogram)",
         paper_claim: "memory-bound loops pay for the checks",
         // Note the inversion: the *default* here is checks ON; the ablation
         // (checks OFF) is faster, so slowdown() reports the abort cost.
-        ablated_secs: bench_seconds(reps, || {
-            with.call(std::hint::black_box(std::slice::from_ref(&dv)))
-                .unwrap();
-        }),
-        default_secs: bench_seconds(reps, || {
-            without
-                .call(std::hint::black_box(std::slice::from_ref(&dv)))
-                .unwrap();
-        }),
+        ablated_secs: with_secs,
+        default_secs: without_secs,
     }
 }
 
@@ -220,8 +225,9 @@ mod tests {
 
     #[test]
     fn abort_checks_cost_on_memory_bound_loops() {
-        // Min-of-5: a single rep flakes below the noise floor when the
-        // test binary runs its threads in parallel.
+        // Min-of-5 per side, the two sides interleaved: a single rep, or
+        // all of one side timed before the other, flakes below the noise
+        // floor when the test binary runs its threads in parallel.
         let a = abort_ablation_histogram(200_000, 5);
         // The check adds work; at minimum it must not speed things up
         // (beyond noise).

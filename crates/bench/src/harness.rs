@@ -74,6 +74,25 @@ pub fn bench_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Times `a` and `b` alternately (`a b a b …`, after one warmup run of
+/// each), returning the minimum of `reps` runs of each in seconds. The
+/// interleaving spreads host drift over both sides instead of landing it
+/// on whichever runs second.
+pub fn bench_pair_seconds(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        a();
+        best_a = best_a.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        b();
+        best_b = best_b.min(start.elapsed().as_secs_f64());
+    }
+    (best_a, best_b)
+}
+
 /// One Figure 2 row.
 #[derive(Debug, Clone)]
 pub struct Figure2Row {

@@ -23,7 +23,16 @@ impl Expr {
     }
 }
 
-fn write_real(v: f64, out: &mut String) {
+/// Appends the InputForm (and FullForm) text of one machine real: the
+/// single real formatter every printer of reals shares.
+///
+/// Finite reals read back through [`fn@crate::parse`] as a Real with the
+/// same bits (except that `-0.` prints as `0.`). Integral values print
+/// with a trailing dot (`1.`, not `1.0`), and from 1e15 up in the lexer's
+/// `m.*^e` notation (`1.*^15`), since their plain digits would read back
+/// as an Integer.
+pub fn write_real(v: f64, out: &mut String) {
+    use std::fmt::Write;
     if v == f64::INFINITY {
         out.push_str("Infinity");
     } else if v == f64::NEG_INFINITY {
@@ -32,9 +41,16 @@ fn write_real(v: f64, out: &mut String) {
         out.push_str("Indeterminate");
     } else if v == v.trunc() && v.abs() < 1e15 {
         // Wolfram prints machine reals with a trailing dot: 1. not 1.0
-        out.push_str(&format!("{}.", v as i64));
+        let _ = write!(out, "{}.", v as i64);
+    } else if v == v.trunc() {
+        // Shortest round-trip digits: `{:e}` gives `1e15` or `1.2345e17`.
+        let start = out.len();
+        let _ = write!(out, "{v:e}");
+        let e = start + out[start..].find('e').expect("`{:e}` has an exponent");
+        let mantissa_has_dot = out[start..e].contains('.');
+        out.replace_range(e..=e, if mantissa_has_dot { "*^" } else { ".*^" });
     } else {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -213,6 +229,34 @@ mod tests {
         assert_eq!(Expr::real(1.0).to_full_form(), "1.");
         assert_eq!(Expr::real(2.5).to_full_form(), "2.5");
         assert_eq!(Expr::real(f64::INFINITY).to_full_form(), "Infinity");
+    }
+
+    #[test]
+    fn large_integral_reals_read_back_as_the_same_real() {
+        assert_eq!(Expr::real(1e15).to_input_form(), "1.*^15");
+        assert_eq!(Expr::real(-1.2345e17).to_input_form(), "-1.2345*^17");
+        assert_eq!(
+            Expr::real(999_999_999_999_999.0).to_input_form(),
+            "999999999999999."
+        );
+        let two_53 = 9_007_199_254_740_992.0;
+        for v in [
+            1e15,
+            -1e15,
+            two_53,
+            1.2345e17,
+            1e20,
+            1e300,
+            999_999_999_999_999.0,
+        ] {
+            for text in [Expr::real(v).to_input_form(), Expr::real(v).to_full_form()] {
+                let back = crate::parse(&text).unwrap();
+                match back.kind() {
+                    crate::ExprKind::Real(r) => assert_eq!(r.to_bits(), v.to_bits(), "{text}"),
+                    _ => panic!("{v:e} printed as {text}, which reads back as {back:?}"),
+                }
+            }
+        }
     }
 
     #[test]

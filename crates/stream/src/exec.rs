@@ -17,6 +17,12 @@
 //! buffer before invoking the sink, so results are emitted exactly as a
 //! sequential one-shot loop would emit them.
 //!
+//! # Panics
+//!
+//! A panic inside one record's call is caught in the worker: the record
+//! yields an in-order `err internal: …` result and the worker rebuilds
+//! its executor before the next record (see `WorkerExec::call_isolated`).
+//!
 //! # Shutdown
 //!
 //! Setting the `stop` flag makes the producer stop admitting records and
@@ -53,6 +59,9 @@ pub enum StreamFunction {
     /// The interpreter applying the original `Function[...]` per record
     /// (one engine per worker).
     Interpreter(Expr),
+    /// Test-only: echoes its first argument and panics on this one.
+    #[cfg(test)]
+    PanicOn(i64),
 }
 
 impl StreamFunction {
@@ -64,6 +73,8 @@ impl StreamFunction {
             StreamFunction::Interpreter(f) => {
                 f.args().first().map_or(0, |params| params.args().len())
             }
+            #[cfg(test)]
+            StreamFunction::PanicOn(_) => 1,
         }
     }
 
@@ -76,6 +87,8 @@ impl StreamFunction {
             StreamFunction::Interpreter(f) => {
                 WorkerExec::Interp(Box::new(Interpreter::new()), f.clone())
             }
+            #[cfg(test)]
+            StreamFunction::PanicOn(bad) => WorkerExec::PanicOn(*bad),
         }
     }
 }
@@ -88,10 +101,34 @@ pub(crate) enum WorkerExec {
     Bytecode(StreamRunner),
     BytecodeNaive(Arc<CompiledFunction>),
     Interp(Box<Interpreter>, Expr),
+    #[cfg(test)]
+    PanicOn(i64),
 }
 
 impl WorkerExec {
-    pub(crate) fn call(&mut self, args: &[Value]) -> Result<Value, RuntimeError> {
+    /// Applies the function to one record. A panic is caught and becomes
+    /// this record's `internal` error; the executor is then rebuilt from
+    /// `func`, so the worker or session carries on with the next record.
+    pub(crate) fn call_isolated(
+        &mut self,
+        func: &StreamFunction,
+        args: &[Value],
+    ) -> Result<Value, RuntimeError> {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.call(args))) {
+            Ok(out) => out,
+            Err(payload) => {
+                *self = func.instantiate();
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("panic");
+                Err(RuntimeError::Other(format!("internal: {msg}")))
+            }
+        }
+    }
+
+    fn call(&mut self, args: &[Value]) -> Result<Value, RuntimeError> {
         match self {
             WorkerExec::Native(cf) => cf.call(args),
             WorkerExec::Bytecode(runner) => runner.call(args),
@@ -103,6 +140,11 @@ impl WorkerExec {
                 );
                 engine.eval(&call).map(|e| Value::from_expr(&e))
             }
+            #[cfg(test)]
+            WorkerExec::PanicOn(bad) => match args.first() {
+                Some(Value::I64(n)) if *n == *bad => panic!("injected panic on {n}"),
+                first => Ok(first.cloned().unwrap_or(Value::Null)),
+            },
         }
     }
 }
@@ -237,7 +279,7 @@ where
                         let r = match rec {
                             Ok(args) => {
                                 let t0 = Instant::now();
-                                let out = exec.call(args);
+                                let out = exec.call_isolated(func, args);
                                 metrics
                                     .record_latency
                                     .record(t0.elapsed().as_nanos() as u64);
@@ -407,6 +449,39 @@ mod tests {
                 assert_eq!(r, &Ok(Value::I64((i * i) as i64)), "record {i}");
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_record_is_an_in_order_internal_error() {
+        let func = StreamFunction::PanicOn(5);
+        let cfg = StreamConfig {
+            batch_size: 4,
+            workers: 2,
+            queue_batches: 2,
+        };
+        let metrics = StreamMetrics::new();
+        let mut got = Vec::new();
+        let summary = run_stream(
+            &func,
+            &cfg,
+            (0..20i64).map(|i| Ok(vec![Value::I64(i)])),
+            &metrics,
+            &AtomicBool::new(false),
+            |r| got.push(r),
+        );
+        assert_eq!((summary.records, summary.ok, summary.errors), (20, 19, 1));
+        assert_eq!(
+            got[5],
+            Err(RuntimeError::Other("internal: injected panic on 5".into()))
+        );
+        // The rebuilt executor takes the rest of the batch and the stream.
+        for (i, r) in got.iter().enumerate().filter(|&(i, _)| i != 5) {
+            assert_eq!(r, &Ok(Value::I64(i as i64)), "record {i}");
+        }
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(count(&metrics.records_in), 20);
+        assert_eq!(count(&metrics.records_ok), 19);
+        assert_eq!(count(&metrics.records_err), 1);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! applied to a high-rate stream of records through:
 //!
 //! - [`record`] — the line-delimited source/sink layer (stdin, files,
-//!   and the `!stream` wire mode in [`net`]);
+//!   and the `!stream` wire mode in [`net`]), which reads numeric
+//!   literals and writes common results without an expression tree;
 //! - [`queue`] — bounded blocking queues: backpressure *blocks* the
 //!   producer rather than shedding records or growing without bound;
 //! - [`exec`] — the batching executor: sequence-numbered batches, one
@@ -36,15 +37,16 @@ pub use exec::{run_stream, StreamConfig, StreamFunction, StreamSummary};
 pub use metrics::StreamMetrics;
 pub use net::ServeStreamHandler;
 pub use queue::BoundedQueue;
-pub use record::{parse_record, render_result, Record};
+pub use record::{parse_record, render_result, write_result, Record};
 
 use std::io::{BufRead, Write};
 use std::sync::atomic::AtomicBool;
 
 /// Streams line-delimited records from `input` to `output`: the engine
 /// behind `reproduce stream` (stdin/file mode). Each input line becomes
-/// one output line (`ok <result>` or `err <message>`), in input order.
-/// On return the caller typically prints `metrics.render(elapsed)`.
+/// one output line (`ok <result>` or `err <message>`), in input order,
+/// written through one reused line buffer. On return the caller
+/// typically prints `metrics.render(elapsed)`.
 ///
 /// # Errors
 ///
@@ -64,9 +66,13 @@ pub fn run_lines<R: BufRead + Send, W: Write>(
         Err(e) => Some(Err(format!("input error: {e}"))),
     });
     let mut io_err = None;
+    let mut line = String::new();
     let summary = run_stream(func, cfg, records, metrics, stop, |r| {
         if io_err.is_none() {
-            if let Err(e) = writeln!(output, "{}", render_result(&r)) {
+            line.clear();
+            write_result(&r, &mut line);
+            line.push('\n');
+            if let Err(e) = output.write_all(line.as_bytes()) {
                 io_err = Some(e);
             }
         }

@@ -64,14 +64,7 @@ impl ServeStreamHandler {
 
 impl StreamHandler for ServeStreamHandler {
     fn begin(&self, spec: &str) -> Result<Box<dyn StreamSession>, String> {
-        let func = self.compile(spec)?;
-        let arity = func.arity();
-        Ok(Box::new(ServeStreamSession {
-            exec: func.instantiate(),
-            arity,
-            metrics: StreamMetrics::new(),
-            started: Instant::now(),
-        }))
+        Ok(Box::new(ServeStreamSession::new(self.compile(spec)?)))
     }
 }
 
@@ -80,18 +73,30 @@ impl StreamHandler for ServeStreamHandler {
 /// reader thread (the wire already serializes them).
 struct ServeStreamSession {
     exec: WorkerExec,
-    arity: usize,
+    /// What `exec` is rebuilt from after a record panics.
+    func: StreamFunction,
     metrics: StreamMetrics,
     started: Instant,
+}
+
+impl ServeStreamSession {
+    fn new(func: StreamFunction) -> Self {
+        ServeStreamSession {
+            exec: func.instantiate(),
+            func,
+            metrics: StreamMetrics::new(),
+            started: Instant::now(),
+        }
+    }
 }
 
 impl StreamSession for ServeStreamSession {
     fn record(&mut self, line: &str) -> String {
         self.metrics.records_in.fetch_add(1, Ordering::Relaxed);
-        let result = match parse_record(line, self.arity) {
+        let result = match parse_record(line, self.func.arity()) {
             Ok(args) => {
                 let t0 = Instant::now();
-                let out = self.exec.call(&args);
+                let out = self.exec.call_isolated(&self.func, &args);
                 self.metrics
                     .record_latency
                     .record(t0.elapsed().as_nanos() as u64);
@@ -171,6 +176,23 @@ mod tests {
             .unwrap();
         assert_eq!(normal.result.as_deref(), Ok("9"));
         shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    #[test]
+    fn a_panicking_record_keeps_the_session() {
+        let mut session = ServeStreamSession::new(StreamFunction::PanicOn(2));
+        let replies: Vec<String> = ["1", "2", "3"]
+            .into_iter()
+            .map(|line| session.record(line))
+            .collect();
+        assert_eq!(
+            replies,
+            ["ok 1", "err internal: injected panic on 2", "ok 3"]
+        );
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        let m = &session.metrics;
+        assert_eq!(count(&m.records_in), 3);
+        assert_eq!((count(&m.records_ok), count(&m.records_err)), (2, 1));
     }
 
     #[test]

@@ -107,6 +107,22 @@ if [ "$STREAM_OUT" != "$(printf 'ok 1\nok 4\nerr type error: argument nope does 
   exit 1
 fi
 
+echo "==> stream: CLI codec guard (literal and fall-back records, Real64 and tensor results)"
+# The committed record file mixes records the literal reader takes
+# directly with ones that fall back to the expression reader (comments,
+# `*^` exponents, a tab), a rank-mismatched record, a malformed line and
+# records whose result is 1e15. Both functions' replies must match the
+# committed expected file byte for byte.
+STREAM_RECORDS=tests/stream/mixed_records.txt
+if ! { ./target/release/reproduce stream --input "$STREAM_RECORDS" --batch 4 \
+         --function 'Function[{Typed[v, "Tensor"["Real64", 1]]}, 2.*v]' &&
+       ./target/release/reproduce stream --input "$STREAM_RECORDS" --batch 4 \
+         --function 'Function[{Typed[x, "Real64"]}, 2.*x]'; } 2>/dev/null |
+     diff -u tests/stream/mixed_records.expected -; then
+  echo "stream codec output differs from tests/stream/mixed_records.expected" >&2
+  exit 1
+fi
+
 echo "==> lint: cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
